@@ -1,5 +1,6 @@
 //! Cache geometry and hierarchy configuration.
 
+use crate::MAX_CORES;
 use hvc_types::{Cycles, LINE_SIZE};
 
 /// Geometry and latency of a single cache level.
@@ -92,8 +93,16 @@ impl HierarchyConfig {
     /// The paper's Table IV configuration for `cores` cores: 32 KB L1I/D,
     /// 256 KB L2, 2 MB shared LLC (scaled by core count for multi-core
     /// mixes, matching the paper's per-core LLC provisioning).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores` is zero or exceeds [`MAX_CORES`].
     pub fn isca2016(cores: usize) -> Self {
         assert!(cores > 0, "hierarchy needs at least one core");
+        assert!(
+            cores <= MAX_CORES,
+            "{cores} cores exceed the {MAX_CORES}-bit LLC sharer bitmap"
+        );
         let llc_bytes = 2 * 1024 * 1024 * cores as u64;
         HierarchyConfig {
             cores,
@@ -145,5 +154,16 @@ mod tests {
     #[should_panic(expected = "at least one core")]
     fn zero_cores_rejected() {
         let _ = HierarchyConfig::isca2016(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "sharer bitmap")]
+    fn more_cores_than_sharer_bits_rejected() {
+        let _ = HierarchyConfig::isca2016(MAX_CORES * 2);
+    }
+
+    #[test]
+    fn max_cores_is_accepted() {
+        assert_eq!(HierarchyConfig::isca2016(MAX_CORES).cores, 32);
     }
 }

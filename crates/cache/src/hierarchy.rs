@@ -1,7 +1,8 @@
 //! A multi-core cache hierarchy: private L1I/L1D/L2 per core, shared
 //! inclusive LLC, MESI-style coherence over hybrid block names.
 
-use crate::{Cache, CacheStats, HierarchyConfig, Victim};
+use crate::cache::{phys_frame_lines, virt_page_lines, BitIter};
+use crate::{Cache, CacheStats, HierarchyConfig, Victim, MAX_CORES};
 use hvc_obs::LatencyHistogram;
 use hvc_types::{AccessKind, Asid, BlockName, Cycles, Permissions};
 
@@ -43,8 +44,8 @@ pub struct Hierarchy {
     coherence_invalidations: u64,
     memory_writebacks: u64,
     lookup_latency: LatencyHistogram,
-    /// Reusable victim buffer for page/frame/space flushes, so shootdowns
-    /// allocate nothing on the steady state.
+    /// Reusable victim buffer for address-space flushes, so process
+    /// teardown allocates nothing on the steady state.
     scratch: Vec<Victim>,
     /// `true` once any line was ever filled with (or downgraded to)
     /// non-writable permissions. While `false`, the front-end's r/o write
@@ -55,7 +56,17 @@ pub struct Hierarchy {
 
 impl Hierarchy {
     /// Creates an empty hierarchy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.cores` exceeds [`MAX_CORES`] (the width of the
+    /// LLC's sharer bitmap).
     pub fn new(config: HierarchyConfig) -> Self {
+        assert!(
+            config.cores <= MAX_CORES,
+            "{} cores exceed the {MAX_CORES}-bit LLC sharer bitmap",
+            config.cores
+        );
         Hierarchy {
             l1i: (0..config.cores)
                 .map(|_| Cache::new(config.l1i.clone()))
@@ -314,42 +325,58 @@ impl Hierarchy {
     /// returns the number of dirty lines written back to memory. Used by
     /// the OS for unmap / remap / synonym-status transitions.
     pub fn flush_virt_page(&mut self, asid: Asid, vpage: u64) -> u64 {
-        let mut victims = std::mem::take(&mut self.scratch);
-        victims.clear();
-        for c in self.l1i.iter_mut().chain(&mut self.l1d).chain(&mut self.l2) {
-            c.flush_virt_page(asid, vpage, &mut victims);
-        }
-        self.llc.flush_virt_page(asid, vpage, &mut victims);
-        let dirty = victims.len() as u64;
-        self.scratch = victims;
-        self.memory_writebacks += dirty;
-        dirty
+        self.flush_lines(virt_page_lines(asid, vpage))
     }
 
     /// Flushes all physically-named lines of the frame at `frame_base`
     /// hierarchy-wide; returns the number of dirty lines written back.
     /// Used by the OS when a synonym page's frame is freed for reuse.
     pub fn flush_phys_frame(&mut self, frame_base: u64) -> u64 {
-        let mut victims = std::mem::take(&mut self.scratch);
-        victims.clear();
-        for c in self.l1i.iter_mut().chain(&mut self.l1d).chain(&mut self.l2) {
-            c.flush_phys_frame(frame_base, &mut victims);
-        }
-        self.llc.flush_phys_frame(frame_base, &mut victims);
-        let dirty = victims.len() as u64;
-        self.scratch = victims;
-        self.memory_writebacks += dirty;
-        dirty
+        self.flush_lines(phys_frame_lines(frame_base))
     }
 
     /// Downgrades cached permissions of a virtual page to read-only in
     /// every level (content-based-sharing transition; no flush needed).
+    /// Directory-guided like the page flushes.
     pub fn downgrade_page_read_only(&mut self, asid: Asid, vpage: u64) {
         self.may_cache_readonly = true;
-        for c in self.l1i.iter_mut().chain(&mut self.l1d).chain(&mut self.l2) {
-            c.downgrade_page_read_only(asid, vpage);
+        for name in virt_page_lines(asid, vpage) {
+            let Some(sharers) = self.llc.downgrade_line(name) else {
+                continue;
+            };
+            for c in BitIter(sharers as u64) {
+                self.l1i[c].downgrade_line(name);
+                self.l1d[c].downgrade_line(name);
+                self.l2[c].downgrade_line(name);
+            }
         }
-        self.llc.downgrade_page_read_only(asid, vpage);
+    }
+
+    /// Removes `lines` from every level, directed by the LLC directory:
+    /// each line is probed in the LLC first, and then only in the L1I,
+    /// L1D and L2 of the cores in its sharer bitmap. That is exact
+    /// because the LLC is inclusive and its sharer bits are exact (every
+    /// private fill sets them, every private eviction clears them; see
+    /// `fill_llc`). Each level counts a dirty flushed line as an
+    /// invalidation, and every dirty copy is one writeback; returns the
+    /// writebacks.
+    fn flush_lines(&mut self, lines: impl Iterator<Item = BlockName>) -> u64 {
+        let mut dirty = 0;
+        for name in lines {
+            let Some((llc_dirty, sharers)) = self.llc.flush_line(name) else {
+                continue;
+            };
+            dirty += llc_dirty as u64;
+            for c in BitIter(sharers as u64) {
+                for level in [&mut self.l1i[c], &mut self.l1d[c], &mut self.l2[c]] {
+                    if let Some((true, _)) = level.flush_line(name) {
+                        dirty += 1;
+                    }
+                }
+            }
+        }
+        self.memory_writebacks += dirty;
+        dirty
     }
 
     /// Flushes every line of an address space (process exit).
@@ -456,10 +483,7 @@ impl Hierarchy {
         // every private fill sets them, every private eviction clears
         // them); any dirty private copy makes the victim dirty.
         let mut dirty_above = false;
-        let mut holders = sharers;
-        while holders != 0 {
-            let c = holders.trailing_zeros() as usize;
-            holders &= holders - 1;
+        for c in BitIter(sharers as u64) {
             dirty_above |= self.evict_from_l1s(c, victim.name);
             if let Some(v) = self.l2[c].invalidate(victim.name) {
                 dirty_above |= v.dirty;
@@ -505,6 +529,63 @@ impl Hierarchy {
             self.llc.remove_sharer(name, other);
             self.coherence_invalidations += 1;
         }
+    }
+}
+
+/// The whole-hierarchy scans the directory-guided page and frame
+/// operations replaced, kept as the model the flush-equivalence
+/// proptests compare against.
+#[cfg(test)]
+impl Hierarchy {
+    pub(crate) fn flush_virt_page_scan(&mut self, asid: Asid, vpage: u64) -> u64 {
+        self.flush_scan(|c, victims| c.flush_virt_page_scan(asid, vpage, victims))
+    }
+
+    pub(crate) fn flush_phys_frame_scan(&mut self, frame_base: u64) -> u64 {
+        self.flush_scan(|c, victims| c.flush_phys_frame_scan(frame_base, victims))
+    }
+
+    pub(crate) fn downgrade_page_read_only_scan(&mut self, asid: Asid, vpage: u64) {
+        self.may_cache_readonly = true;
+        for c in self.levels_mut() {
+            c.downgrade_page_read_only_scan(asid, vpage);
+        }
+    }
+
+    fn flush_scan(&mut self, mut flush: impl FnMut(&mut Cache, &mut Vec<Victim>)) -> u64 {
+        let mut victims = Vec::new();
+        for c in self.levels_mut() {
+            flush(c, &mut victims);
+        }
+        let dirty = victims.len() as u64;
+        self.memory_writebacks += dirty;
+        dirty
+    }
+
+    /// Every level: each core's L1I, L1D and L2, then the LLC.
+    pub(crate) fn levels(&self) -> impl Iterator<Item = &Cache> {
+        self.l1i
+            .iter()
+            .chain(&self.l1d)
+            .chain(&self.l2)
+            .chain(std::iter::once(&self.llc))
+    }
+
+    fn levels_mut(&mut self) -> impl Iterator<Item = &mut Cache> {
+        self.l1i
+            .iter_mut()
+            .chain(&mut self.l1d)
+            .chain(&mut self.l2)
+            .chain(std::iter::once(&mut self.llc))
+    }
+
+    /// The private levels (L1I, L1D, L2) of `core`.
+    pub(crate) fn private_levels(&self, core: usize) -> [&Cache; 3] {
+        [&self.l1i[core], &self.l1d[core], &self.l2[core]]
+    }
+
+    pub(crate) fn llc(&self) -> &Cache {
+        &self.llc
     }
 }
 

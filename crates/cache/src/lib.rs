@@ -13,7 +13,9 @@
 //! * [`Hierarchy`] — per-core L1I/L1D/L2 backed by a shared inclusive LLC
 //!   with MESI-style sharer tracking,
 //! * page-granularity flush operations used by the OS substrate for
-//!   remaps, permission changes and synonym-status transitions.
+//!   remaps, permission changes and synonym-status transitions. They probe
+//!   only the page's 64 lines: each in the LLC first, then in the private
+//!   caches of the cores its directory entry names.
 //!
 //! # Examples
 //!
@@ -34,10 +36,12 @@
 
 mod cache;
 mod config;
+#[cfg(test)]
+mod flush_equivalence;
 mod hierarchy;
 mod stats;
 
-pub use cache::{Cache, Victim};
+pub use cache::{Cache, Victim, MAX_CORES};
 pub use config::{CacheConfig, HierarchyConfig};
 pub use hierarchy::{AccessResult, Hierarchy};
 pub use stats::{CacheStats, LevelStats};

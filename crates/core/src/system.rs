@@ -99,8 +99,9 @@ impl SystemSim {
         };
         let cores = config.hierarchy.cores;
         assert!(
-            cores <= 128,
-            "shootdown responder mask supports at most 128 cores"
+            cores <= hvc_cache::MAX_CORES,
+            "{cores} cores exceed the {}-bit LLC sharer bitmap",
+            hvc_cache::MAX_CORES
         );
         SystemSim {
             hierarchy: Hierarchy::new(config.hierarchy.clone()),

@@ -131,6 +131,13 @@ impl Experiment {
                 self.cores
             ));
         }
+        if self.cores > hvc_cache::MAX_CORES {
+            return Err(format!(
+                "cores must be at most {} (one LLC sharer bit per core), got {}",
+                hvc_cache::MAX_CORES,
+                self.cores
+            ));
+        }
         if self.shards == 0 {
             return Err("shards must be positive".into());
         }
@@ -286,6 +293,25 @@ mod tests {
         let mut bad = Experiment::default();
         bad.seeds.clear();
         assert!(bad.validate().unwrap_err().contains("empty axis"));
+    }
+
+    #[test]
+    fn validation_bounds_cores_by_the_sharer_bitmap() {
+        for cores in [64, 128] {
+            let bad = Experiment {
+                cores,
+                ..Default::default()
+            };
+            let err = bad.validate().unwrap_err();
+            assert!(err.contains("at most 32"), "cores = {cores}: {err}");
+        }
+        for cores in [1, 4, hvc_cache::MAX_CORES] {
+            let ok = Experiment {
+                cores,
+                ..Default::default()
+            };
+            assert!(ok.validate().is_ok(), "cores = {cores}");
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! hvcsim --list
 //! ```
 
+use hvc::cache::MAX_CORES;
 use hvc::check::{stress, CheckConfig, VirtDiffHarness};
 use hvc::core::{EnergyModel, SystemConfig, SystemSim, VirtScheme};
 use hvc::os::{AllocPolicy, Kernel};
@@ -42,7 +43,7 @@ OPTIONS:
     --seed <n>           workload RNG seed                    [default: 42]
     --mem <size>         gups table size, e.g. 256M, 1G       [default: 512M]
     --llc <size>         LLC capacity: 2M or 8M               [default: 2M]
-    --cores <n>          number of cores                      [default: 1]
+    --cores <n>          number of cores, a power of two ≤ 32 [default: 1]
     --shards <n>         host threads for the sliced single-run engine;
                          results are bitwise identical at any value
                          (incompatible with trace options)    [default: 1]
@@ -84,8 +85,9 @@ BENCH OPTIONS:
     --warm <n>           unmeasured warm-up references        [default: 250000]
     --mem <size>         workload memory, e.g. 256M, 1G       [default: 512M]
     --seed <n>           workload RNG seed                    [default: 42]
-    --cores <a,b>        comma-separated core counts; 1 runs the plain
-                         engine, >1 the multi-core driver     [default: 1,2,4]
+    --cores <a,b>        comma-separated core counts (powers of two ≤ 32);
+                         1 runs the plain engine, >1 the multi-core
+                         driver                               [default: 1,2,4]
     --shards <a,b>       comma-separated shard counts for the cores=1
                          matrix; 1 times the measured window on the
                          continuous engine, >1 the whole sliced parallel
@@ -576,7 +578,7 @@ fn bench_main(args: &[String]) -> ExitCode {
                             c.trim()
                                 .parse()
                                 .ok()
-                                .filter(|&n| n > 0 && usize::is_power_of_two(n))
+                                .filter(|&n: &usize| n.is_power_of_two() && n <= MAX_CORES)
                         })
                         .collect()
                 });
@@ -945,7 +947,14 @@ fn single_main(args: &[String]) -> ExitCode {
                 None => return bad(),
             },
             "--cores" => match next(&mut i).and_then(|v| v.parse().ok()) {
-                Some(v) if usize::is_power_of_two(v) => cores = v,
+                Some(v) if usize::is_power_of_two(v) && v <= MAX_CORES => cores = v,
+                Some(v) if usize::is_power_of_two(v) => {
+                    eprintln!(
+                        "--cores {v} exceeds {MAX_CORES} (the LLC directory keeps \
+                         one sharer bit per core)"
+                    );
+                    return ExitCode::FAILURE;
+                }
                 Some(v) => {
                     eprintln!(
                         "--cores {v} is not a power of two (the shared-LLC \

@@ -47,6 +47,24 @@ fn non_power_of_two_cores_fail_cleanly_without_panicking() {
     }
 }
 
+/// The LLC directory keeps one sharer bit per core in a 32-bit field,
+/// so a power-of-two core count above 32 must be refused at every entry
+/// point rather than aliasing core 40 onto core 8.
+#[test]
+fn more_cores_than_sharer_bits_fail_cleanly() {
+    for args in [
+        vec!["--workload", "gups", "--cores", "64", "--refs", "1000"],
+        vec!["sweep", "--preset", "smoke", "--cores", "64"],
+        vec!["sweep", "--preset", "smoke", "--cores", "128"],
+        vec!["bench", "--cores", "1,64", "--refs", "1000"],
+    ] {
+        let out = hvcsim().args(&args).output().expect("spawn");
+        assert!(!out.status.success(), "{args:?} should fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    }
+}
+
 #[test]
 fn shards_bounds_and_trace_conflicts_fail_cleanly() {
     let trace = std::env::temp_dir().join(format!("hvcsim-shards-{}.hvct", std::process::id()));
